@@ -19,7 +19,7 @@ class PrecisionRecallBench extends AnyFunSuite {
   private def run(name: String): Map[String, Seq[Metrics.PrAtK]] = {
     val ec      = BenchContext.corpus(name)
     val (wg, _) = BenchContext.warpGate(name)
-    val wgPr    = EvalRunner.warpGateEffectiveness(BenchContext.spark, ec, wg, ks)
+    val wgPr    = EvalRunner.warpGateEffectiveness(ec, wg, ks)
     val (au, _) = BenchContext.aurum(name)
     val auPr    = EvalRunner.aurumEffectiveness(ec, au, ks)
     val (d3, _) = BenchContext.d3l(name)

@@ -16,8 +16,8 @@ import scala.util.hashing.MurmurHash3
   * purely syntactic and Jaccard punishes cardinality-asymmetric joins, which
   * is why it trails in Figure 4.
   *
-  * Edge discovery runs as a banded MinHash-LSH DataFrame self-join (the same
-  * distributed dataflow shape as WarpGate's search), not a driver loop.
+  * Edge discovery runs as a banded MinHash-LSH DataFrame self-join, not a
+  * driver loop.
   */
 object Aurum {
 
@@ -32,9 +32,11 @@ object Aurum {
   final class Index(
       val config: Config,
       val profiler: MinHashProfiler,
-      /** adjacency: column -> (neighbor, estimated Jaccard), sorted desc */
+      /** adjacency: column -> (neighbor, estimated Jaccard), sorted by
+        * (estimate desc, neighbor)
+        */
       val graph: Map[ColumnId, Seq[(ColumnId, Double)]],
-      val signatures: Map[String, Array[Double]],
+      val signatures: Map[ColumnId, Array[Double]],
   ) {
     /** Graph lookup. Aurum has no native top-k ranking; like the paper we
       * truncate its neighbor set to k (by edge weight) for comparability.
@@ -60,24 +62,26 @@ object Aurum {
     val pairs = candidatePairs(sigs, config).collect()
 
     val sigMap = sigs.select("database", "table", "column", "sig").collect().map { r =>
-      ColumnId(r.getString(0), r.getString(1), r.getString(2)).key -> r.getAs[Vector]("sig").toArray
+      ColumnId(r.getString(0), r.getString(1), r.getString(2)) -> r.getAs[Vector]("sig").toArray
     }.toMap
 
     val adj = mutable.Map[ColumnId, mutable.ArrayBuffer[(ColumnId, Double)]]()
     pairs.foreach { row =>
-      val a   = ColumnId.fromKey(row.getString(0))
-      val b   = ColumnId.fromKey(row.getString(1))
-      val est = profiler.estimateJaccard(sigMap(a.key), sigMap(b.key))
+      val a   = ColumnId(row.getString(0), row.getString(1), row.getString(2))
+      val b   = ColumnId(row.getString(3), row.getString(4), row.getString(5))
+      val est = profiler.estimateJaccard(sigMap(a), sigMap(b))
       if (est >= config.threshold) {
         adj.getOrElseUpdate(a, mutable.ArrayBuffer.empty) += ((b, est))
         adj.getOrElseUpdate(b, mutable.ArrayBuffer.empty) += ((a, est))
       }
     }
-    val graph = adj.map { case (k, v) => k -> v.sortBy(-_._2).toSeq }.toMap
+    val graph = adj.map { case (k, v) => k -> v.sortBy { case (c, est) => (-est, c) }.toSeq }.toMap
     new Index(config, profiler, graph, sigMap)
   }
 
-  /** Banded-LSH candidate pairs (akey < bkey), cross-table only. */
+  /** Banded-LSH candidate pairs (a < b), cross-table only, as
+    * (adb, atbl, acol, bdb, btbl, bcol).
+    */
   private[baselines] def candidatePairs(sigs: DataFrame, config: Config): DataFrame = {
     val bands = config.bands
     val rpb   = config.rowsPerBand
@@ -90,20 +94,16 @@ object Aurum {
         MurmurHash3.finalizeHash(h, rpb)
       }
     }
-    val exploded = sigs
-      .withColumn("key", concat_ws(".", col("database"), col("table"), col("column")))
-      .select(col("key"), col("database").as("db"), col("table").as("tbl"),
-        posexplode(bandUdf(col("sig"))).as(Seq("band", "hash")))
+    val exploded = sigs.select(col("database"), col("table"), col("column"),
+      posexplode(bandUdf(col("sig"))).as(Seq("band", "hash")))
 
-    val left  = exploded.select(col("key").as("akey"), col("db").as("adb"),
-      col("tbl").as("atbl"), col("band"), col("hash"))
-    val right = exploded.select(col("key").as("bkey"), col("db").as("bdb"),
-      col("tbl").as("btbl"), col("band"), col("hash"))
+    def side(p: String) = exploded.select(col("database").as(s"${p}db"),
+      col("table").as(s"${p}tbl"), col("column").as(s"${p}col"), col("band"), col("hash"))
 
-    left.join(right, Seq("band", "hash"))
-      .filter(col("akey") < col("bkey"))
+    side("a").join(side("b"), Seq("band", "hash"))
+      .filter(struct("adb", "atbl", "acol") < struct("bdb", "btbl", "bcol"))
       .filter(!(col("adb") === col("bdb") && col("atbl") === col("btbl")))
-      .select("akey", "bkey")
+      .select("adb", "atbl", "acol", "bdb", "btbl", "bcol")
       .distinct()
   }
 }

@@ -43,10 +43,8 @@ object ColumnEmbedder {
   /** Mean vector of one column computed with a (timed) Spark scan — the
     * full-value query path whose load+inference cost Table 2 measures.
     */
-  def embedColumnSpark(id: ColumnId, table: DataFrame, model: EmbeddingModel,
-                       sampleRows: Option[Int] = None): Array[Double] = {
-    val melted = ColumnValues.meltColumn(id, table, sampleRows)
-    val row = embedColumns(melted, model).select("vec").collect()
+  def embedColumnSpark(id: ColumnId, table: DataFrame, model: EmbeddingModel): Array[Double] = {
+    val row = embedColumns(ColumnValues.meltColumn(id, table), model).select("vec").collect()
     if (row.isEmpty) new Array[Double](model.dim)
     else row(0).getAs[Vector]("vec").toArray
   }

@@ -8,18 +8,16 @@ package repro.core
   * name must travel with the column identity.
   */
 final case class ColumnId(database: String, table: String, column: String) {
-  /** Stable flat key used in DataFrames and driver-side maps. */
+  /** Dotted display name. Not an identity: names may themselves contain dots,
+    * so compare and key by the ColumnId itself.
+    */
   def key: String = s"$database.$table.$column"
   override def toString: String = key
 }
 
 object ColumnId {
-  /** Inverse of [[ColumnId.key]]; keys are built from names without dots. */
-  def fromKey(key: String): ColumnId = {
-    val parts = key.split('.')
-    require(parts.length == 3, s"malformed column key: $key")
-    ColumnId(parts(0), parts(1), parts(2))
-  }
+  /** Orders by (database, table, column): the tie-break of every ranking. */
+  implicit val ordering: Ordering[ColumnId] = Ordering.by(c => (c.database, c.table, c.column))
 }
 
 /** One ranked answer of a discovery query. */

@@ -1,8 +1,5 @@
 package repro.core
 
-import org.apache.spark.ml.linalg.Vector
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions._
 import scala.util.hashing.MurmurHash3
 
 /** SimHash LSH configuration: `bands` bands of `rowsPerBand` hyperplane bits.
@@ -88,12 +85,5 @@ final class SimHashLsh(val dim: Int, val cfg: LshConfig) extends Serializable {
     var d = 0; var i = 0
     while (i < a.length) { if (a(i) != b(i)) d += 1; i += 1 }
     math.cos(math.Pi * d.toDouble / a.length)
-  }
-
-  /** Column expression computing band hashes of an ml.Vector column. */
-  def bandHashesUdf: Column => Column = {
-    val self = this
-    val f = udf { (v: Vector) => self.bandHashes(v.toArray) }
-    (c: Column) => f(c)
   }
 }

@@ -1,9 +1,7 @@
 package repro.core
 
 import org.apache.spark.ml.linalg.Vector
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{Row, SparkSession}
 import scala.collection.mutable
 
 /** WarpGate configuration.
@@ -27,23 +25,26 @@ final case class QueryTiming(loadEmbedMs: Double, lookupMs: Double) {
   def totalMs: Double = loadEmbedMs + lookupMs
 }
 
-/** The built index: column embeddings + SimHash buckets, kept both as a
-  * DataFrame (for the batched, fully distributed search path) and as driver
-  * arrays (the in-memory LSH index the paper's system holds for interactive
-  * lookups).
+/** The built index: one mean embedding per column, held on the driver with
+  * its SimHash buckets — the in-memory LSH index the paper's system probes
+  * for interactive lookups.
+  *
+  * `columns` is sorted by (database, table, column), so a column's position
+  * is a stable id: `vectors` and `samples` are aligned with it, and ties in
+  * [[lookup]] break on it.
   */
 final class WarpGateIndex(
     val config: WarpGateConfig,
     val lsh: SimHashLsh,
-    /** (database, table, column, nValues, vec: ml.Vector, bands: Array[Int]) */
-    val embeddings: DataFrame,
     val columns: Array[ColumnId],
     val vectors: Array[Array[Double]],
-    /** per-column sampled values, present iff config.sampleSize is set */
-    val sampleCache: Map[String, Array[String]],
+    /** per-column values each vector was embedded from; empty unless
+      * config.sampleSize is set
+      */
+    val samples: Array[Array[String]],
 ) extends Serializable {
 
-  /** bucket key (band, hash) -> column indices */
+  /** bucket key (band, hash) -> column positions */
   private val buckets: mutable.LongMap[mutable.ArrayBuffer[Int]] = {
     val m = new mutable.LongMap[mutable.ArrayBuffer[Int]]()
     var i = 0
@@ -60,17 +61,15 @@ final class WarpGateIndex(
     m
   }
 
-  private val indexByKey: Map[String, Int] = columns.iterator.zipWithIndex.map {
-    case (c, i) => c.key -> i
-  }.toMap
+  private val positionOf: Map[ColumnId, Int] = columns.iterator.zipWithIndex.toMap
 
-  def vectorOf(id: ColumnId): Option[Array[Double]] = indexByKey.get(id.key).map(vectors)
+  def vectorOf(id: ColumnId): Option[Array[Double]] = positionOf.get(id).map(vectors)
 
   /** In-memory LSH probe + exact cosine re-rank (the "index lookup" of
     * Table 2). Candidates sharing at least one band bucket with the query are
     * verified with exact cosine; candidates below the threshold, the query
     * column itself, and columns of the query's own table are dropped; top-k
-    * by similarity is returned.
+    * by (similarity desc, column position) is returned.
     */
   def lookup(queryVec: Array[Double], query: ColumnId, k: Int,
              sameDatabaseOnly: Boolean = false): Seq[SearchResult] = {
@@ -95,7 +94,8 @@ final class WarpGateIndex(
       }
       b += 1
     }
-    hits.sortBy(-_._2).take(k).map { case (i, s) => SearchResult(query, columns(i), s) }.toSeq
+    hits.sortBy { case (i, s) => (-s, i) }.take(k)
+      .map { case (i, s) => SearchResult(query, columns(i), s) }.toSeq
   }
 
   /** Full-value query path (Table 2): scan the query column with Spark, embed,
@@ -112,15 +112,15 @@ final class WarpGateIndex(
     (res, QueryTiming((t1 - t0) / 1e6, (t2 - t1) / 1e6))
   }
 
-  /** Sampled query path (§4.4): embed the cached per-column sample on the
+  /** Sampled query path (§4.4): embed the column's stored sample on the
     * driver (standing in for a `LIMIT n` the warehouse answers in
     * milliseconds), then probe. Orders of magnitude cheaper than
     * [[queryFull]].
     */
   def querySampled(query: ColumnId, k: Int,
                    sameDatabaseOnly: Boolean = false): (Seq[SearchResult], QueryTiming) = {
-    val sample = sampleCache.getOrElse(query.key,
-      throw new IllegalStateException(s"no sample cached for ${query.key}; build with sampleSize"))
+    val sample = positionOf.get(query).filter(_ < samples.length).map(samples).getOrElse(
+      throw new IllegalStateException(s"no sample stored for ${query.key}; build with sampleSize"))
     val t0  = System.nanoTime()
     val vec = ColumnEmbedder.embedValuesLocal(sample, config.model)
     val t1  = System.nanoTime()
@@ -128,99 +128,35 @@ final class WarpGateIndex(
     val t2  = System.nanoTime()
     (res, QueryTiming((t1 - t0) / 1e6, (t2 - t1) / 1e6))
   }
-
-  /** Batch search for many queries as one distributed dataflow: explode band
-    * hashes on both sides, join on (band, hash) — the DataFrame rendition of
-    * an LSH probe — then exact-cosine re-rank and keep top-k per query.
-    *
-    * Query columns are taken from the index itself (discovery queries are
-    * corpus columns). Returns (queryKey, candidateKey, score, rank).
-    */
-  def searchAll(spark: SparkSession, queryKeys: Seq[String], k: Int,
-                sameDatabaseOnly: Boolean = false): DataFrame = {
-    import spark.implicits._
-    val threshold = config.threshold
-
-    val withKey = embeddings.withColumn(
-      "key", concat_ws(".", col("database"), col("table"), col("column")))
-    val exploded = withKey
-      .select(col("key"), col("database"), col("table"), col("vec"),
-        posexplode(col("bands")).as(Seq("band", "hash")))
-
-    val qKeys = queryKeys.toDF("qkey")
-    val qSide = exploded.join(qKeys, exploded("key") === qKeys("qkey"), "left_semi")
-      .select(col("key").as("qkey"), col("database").as("qdb"), col("table").as("qtable"),
-        col("vec").as("qvec"), col("band"), col("hash"))
-
-    val cSide = exploded.select(col("key").as("ckey"), col("database").as("cdb"),
-      col("table").as("ctable"), col("vec").as("cvec"), col("band"), col("hash"))
-
-    val cosUdf = udf { (a: Vector, b: Vector) => VectorOps.cosine(a.toArray, b.toArray) }
-
-    val scopeFilter =
-      if (sameDatabaseOnly) col("qdb") === col("cdb") &&
-        !(col("qtable") === col("ctable"))
-      else !(col("qdb") === col("cdb") && col("qtable") === col("ctable"))
-
-    val pairs = qSide.join(cSide, Seq("band", "hash"))
-      .filter(scopeFilter)
-      .select("qkey", "ckey", "qvec", "cvec")
-      .dropDuplicates("qkey", "ckey")
-      .withColumn("score", cosUdf(col("qvec"), col("cvec")))
-      .filter(col("score") >= threshold)
-
-    val w = Window.partitionBy("qkey").orderBy(col("score").desc, col("ckey"))
-    pairs
-      .withColumn("rank", row_number().over(w))
-      .filter(col("rank") <= k)
-      .select("qkey", "ckey", "score", "rank")
-  }
-
-  /** Collect [[searchAll]] into a driver map query -> ranked candidates. */
-  def searchAllCollected(spark: SparkSession, queryKeys: Seq[String], k: Int,
-                         sameDatabaseOnly: Boolean = false): Map[ColumnId, Seq[SearchResult]] = {
-    searchAll(spark, queryKeys, k, sameDatabaseOnly)
-      .collect()
-      .groupBy(_.getString(0))
-      .map { case (q, rows) =>
-        val qid = ColumnId.fromKey(q)
-        qid -> rows.sortBy(_.getInt(3))
-          .map(r => SearchResult(qid, ColumnId.fromKey(r.getString(1)), r.getDouble(2)))
-          .toSeq
-      }
-  }
 }
 
 /** Index construction (the "indexing pipeline" of Figure 2). */
 object WarpGate {
 
-  /** Build the index over a corpus: melt (optionally sampled) -> embed ->
-    * SimHash band hashes -> persist + collect the driver-side index.
+  /** Build the index over a corpus.
+    *
+    * Full mode: melt every cell -> embed -> per-column Spark mean, one collect.
+    * Sampled mode (§3.1.3): one collect of at most `sampleSize` rows per
+    * table; each column's vector is the driver-side mean of exactly the
+    * values stored as its query sample.
     */
   def buildIndex(spark: SparkSession, corpus: Corpus, config: WarpGateConfig): WarpGateIndex = {
-    val values = corpus.meltAll(config.sampleSize)
-    val embDf  = ColumnEmbedder.embedColumns(values, config.model)
-    val lsh    = new SimHashLsh(config.model.dim, config.lsh)
-    val withBands = embDf.withColumn("bands", lsh.bandHashesUdf(col("vec"))).cache()
-
-    val rows = withBands.select("database", "table", "column", "vec").collect()
-    val cols = rows.map(r => ColumnId(r.getString(0), r.getString(1), r.getString(2)))
-    val vecs = rows.map(_.getAs[Vector]("vec").toArray)
-
-    val sampleCache: Map[String, Array[String]] = config.sampleSize match {
-      case None => Map.empty
+    val lsh = new SimHashLsh(config.model.dim, config.lsh)
+    def idOf(r: Row) = ColumnId(r.getString(0), r.getString(1), r.getString(2))
+    config.sampleSize match {
+      case None =>
+        val rows = ColumnEmbedder.embedColumns(corpus.meltAll(None), config.model)
+          .select("database", "table", "column", "vec").collect()
+          .map(r => idOf(r) -> r.getAs[Vector](3).toArray)
+          .sortBy(_._1)
+        new WarpGateIndex(config, lsh, rows.map(_._1), rows.map(_._2), Array.empty)
       case Some(n) =>
-        corpus.meltAll(Some(n))
-          .groupBy("database", "table", "column")
-          .agg(collect_list(col("value")).as("vals"))
-          .collect()
-          .map { r =>
-            val key = ColumnId(r.getString(0), r.getString(1), r.getString(2)).key
-            key -> r.getSeq[String](3).toArray
-          }
-          .toMap
+        val byColumn = corpus.meltAll(Some(n)).collect()
+          .groupBy(idOf).toArray
+          .sortBy(_._1)
+        val samples = byColumn.map(_._2.map(_.getString(3)))
+        new WarpGateIndex(config, lsh, byColumn.map(_._1),
+          samples.map(ColumnEmbedder.embedValuesLocal(_, config.model)), samples)
     }
-
-    new WarpGateIndex(config, lsh, withBands, cols, vecs, sampleCache)
   }
 }

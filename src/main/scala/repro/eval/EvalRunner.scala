@@ -8,9 +8,9 @@ import repro.eval.Metrics.PrAtK
 
 /** End-to-end runners: build each system over an [[EvalCorpus]], run all
   * queries, and report effectiveness (Figure 4) and per-phase timings
-  * (Table 2). Effectiveness paths avoid per-query rescans (WarpGate uses the
-  * batched DataFrame search; baselines use stored profiles); timing paths
-  * measure the interactive per-query pipeline the paper reports.
+  * (Table 2). Effectiveness paths avoid per-query rescans (WarpGate probes
+  * with each query's stored index vector; baselines use stored profiles);
+  * timing paths measure the interactive per-query pipeline the paper reports.
   */
 object EvalRunner {
 
@@ -41,13 +41,16 @@ object EvalRunner {
   def buildWarpGate(spark: SparkSession, ec: EvalCorpus, cfg: WarpGateConfig): (WarpGateIndex, Double) =
     timed(WarpGate.buildIndex(spark, ec.corpus, cfg))
 
-  /** Effectiveness via the batched DataFrame search path. */
-  def warpGateEffectiveness(spark: SparkSession, ec: EvalCorpus, index: WarpGateIndex,
-                            ks: Seq[Int]): Seq[PrAtK] = {
+  /** Effectiveness: one [[WarpGateIndex.lookup]] per query with the query
+    * column's own index vector.
+    */
+  def warpGateEffectiveness(ec: EvalCorpus, index: WarpGateIndex, ks: Seq[Int]): Seq[PrAtK] = {
     val kMax = ks.max
-    val res  = index.searchAllCollected(spark, ec.queries.map(_.key), kMax, ec.sameDatabaseOnly)
-    Metrics.evaluate(res.map { case (q, rs) => q -> rs.map(_.candidate) },
-      ec.answers, ec.queries, ks)
+    val res = ec.queries.map { q =>
+      val hits = index.vectorOf(q).toSeq.flatMap(v => index.lookup(v, q, kMax, ec.sameDatabaseOnly))
+      q -> hits.map(_.candidate)
+    }.toMap
+    Metrics.evaluate(res, ec.answers, ec.queries, ks)
   }
 
   /** Per-query timings over `queries` (full-value path unless the index was

@@ -43,7 +43,7 @@ class AurumSpec extends SparkSpec {
     val (res, _) = index.query(qCompany, 10)
     res.foreach { r =>
       val est = index.profiler.estimateJaccard(
-        index.signatures(qCompany.key), index.signatures(r.candidate.key))
+        index.signatures(qCompany), index.signatures(r.candidate))
       assert(math.abs(r.score - est) < 1e-12)
     }
   }

@@ -38,16 +38,6 @@ class ColumnEmbedderSpec extends SparkSpec {
     sparkVec.zip(local).foreach { case (a, b) => assert(math.abs(a - b) < 1e-9) }
   }
 
-  test("embedColumnSpark with sampling embeds only the sample") {
-    val id    = ColumnId("dbA", "leads", "firm")
-    val table = corpus.table("dbA", "leads").df
-    val sampled = ColumnEmbedder.embedColumnSpark(id, table, model, Some(20))
-    val values  = table.limit(20).select(col("firm").cast("string"))
-      .collect().map(_.getString(0))
-    val local = ColumnEmbedder.embedValuesLocal(values.toSeq, model)
-    sampled.zip(local).foreach { case (a, b) => assert(math.abs(a - b) < 1e-9) }
-  }
-
   test("columns of overlapping intervals embed close, cross-domain far") {
     val emb = ColumnEmbedder.embedColumns(corpus.meltAll(None), model)
       .collect()
@@ -66,7 +56,10 @@ class ColumnEmbedderSpec extends SparkSpec {
     val id    = ColumnId("dbA", "accounts", "company")
     val table = corpus.table("dbA", "accounts").df
     val full    = ColumnEmbedder.embedColumnSpark(id, table, model)
-    val sampled = ColumnEmbedder.embedColumnSpark(id, table, model, Some(100))
+    val sample  = ColumnValues.meltColumn(id, table, Some(100)).select("value")
+      .collect().map(_.getString(0))
+    assert(sample.length == 100)
+    val sampled = ColumnEmbedder.embedValuesLocal(sample, model)
     assert(VectorOps.cosine(full, sampled) > 0.9)
   }
 }

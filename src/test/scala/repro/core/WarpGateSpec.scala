@@ -15,7 +15,7 @@ class WarpGateSpec extends SparkSpec {
 
   test("index holds one embedding per corpus column") {
     assert(index.columns.length == spec.tables.map(_.columns.size).sum)
-    assert(index.embeddings.count() == index.columns.length)
+    assert(index.vectors.length == index.columns.length)
   }
 
   test("index vectors have the model dimension") {
@@ -88,8 +88,8 @@ class WarpGateSpec extends SparkSpec {
   }
 
   test("sampled index caches one sample per column") {
-    assert(sampledIndex.sampleCache.size == index.columns.length)
-    assert(sampledIndex.sampleCache.values.forall(_.length <= 50))
+    assert(sampledIndex.samples.length == index.columns.length)
+    assert(sampledIndex.samples.forall(_.length <= 50))
   }
 
   test("sampled index effectiveness matches full index on the tiny corpus") {
@@ -100,30 +100,6 @@ class WarpGateSpec extends SparkSpec {
     assert(full == sampled)
   }
 
-  test("searchAll agrees with the driver lookup path") {
-    val queries = spec.queries.map(_.key)
-    val batched = index.searchAllCollected(spark, queries, k = 5)
-    spec.queries.foreach { q =>
-      val driver = index.lookup(index.vectorOf(q).get, q, 5).map(_.candidate.key)
-      val df     = batched.getOrElse(q, Seq.empty).map(_.candidate.key)
-      assert(driver == df, s"mismatch for ${q.key}: driver=$driver batched=$df")
-    }
-  }
-
-  test("searchAll scores equal exact cosine of stored vectors") {
-    val batched = index.searchAllCollected(spark, Seq(qCompany.key), k = 5)
-    batched(qCompany).foreach { r =>
-      val expect = VectorOps.cosine(index.vectorOf(qCompany).get, index.vectorOf(r.candidate).get)
-      assert(math.abs(r.score - expect) < 1e-9)
-    }
-  }
-
-  test("searchAll honors per-database scoping") {
-    val batched = index.searchAllCollected(spark, Seq(qCompany.key), k = 10, sameDatabaseOnly = true)
-    batched.getOrElse(qCompany, Seq.empty).foreach(r =>
-      assert(r.candidate.database == qCompany.database))
-  }
-
   test("a higher threshold prunes more candidates") {
     val strict = WarpGate.buildIndex(spark, corpus,
       WarpGateConfig(threshold = 0.95))
@@ -131,15 +107,22 @@ class WarpGateSpec extends SparkSpec {
     val loose  = index.lookup(index.vectorOf(qCompany).get, qCompany, 10)
     val tight  = strict.lookup(vec, qCompany, 10)
     assert(tight.size <= loose.size)
-    strict.embeddings.unpersist()
   }
 
-  test("ColumnId key round-trips") {
-    val id = ColumnId("db1", "some table", "Company Name")
-    assert(ColumnId.fromKey(id.key) == id)
+  test("columns are sorted by (database, table, column) in both build modes") {
+    Seq(index, sampledIndex).foreach { ix =>
+      assert(ix.columns.toSeq == ix.columns.toSeq.sorted)
+    }
   }
 
-  test("ColumnId.fromKey rejects malformed keys") {
-    intercept[IllegalArgumentException](ColumnId.fromKey("only.two"))
+  test("sampled index vectors are the embedding of each column's stored sample") {
+    // querySampled embeds exactly the stored sample, so for every column its
+    // query vector must be the index vector bit for bit, and the answers the
+    // same as a lookup with the stored vector.
+    sampledIndex.columns.zipWithIndex.foreach { case (c, i) =>
+      val queried = ColumnEmbedder.embedValuesLocal(sampledIndex.samples(i), sampledIndex.config.model)
+      assert(queried.sameElements(sampledIndex.vectors(i)), c)
+      assert(sampledIndex.querySampled(c, 5)._1 == sampledIndex.lookup(sampledIndex.vectors(i), c, 5))
+    }
   }
 }
